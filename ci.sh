@@ -141,3 +141,22 @@ assert {f["target"] for f in bench["fuzz"]} == {"packet", "dns", "bitc"}
 h = bench["headline"]
 assert h["all_expectations_pass"] and h["all_replays_verified"] and h["seeded_bug_found"], h
 EOF
+
+# Benchmark-package smoke: the perfbench package's own tests (traffic pin,
+# oracle on every workload, reducer and ledger arithmetic, staged-vs-whole
+# agreement), then a 1-second run of each BENCHMARK.json workload through
+# the BENCHMARK.json command itself, which must report "correct": true
+# (the oracle's per-port, per-drop-reason and conntrack checks all held).
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+python3 - <<'EOF'
+import json, subprocess
+bench = json.load(open("BENCHMARK.json"))
+for w in bench["workloads"]:
+    cmd = bench["command"] + ["--workload", w["name"], "--seed", "1", "--seconds", "1", "--trace", "0"]
+    out = subprocess.run(cmd, capture_output=True, text=True)
+    lines = out.stdout.strip().splitlines()
+    assert out.returncode == 0 and lines, (w["name"], out.returncode, out.stderr[-2000:])
+    result = json.loads(lines[-1])
+    assert result["correct"] is True and result["failed"] == 0, (w["name"], result)
+    print(w["name"], "correct", result["metrics"])
+EOF

@@ -11,12 +11,19 @@
 //! the `checker_*` tests below; on ordinary threads the shim is `std` plus
 //! one relaxed load. [`BrokenSignal`] is a deliberately buggy wait/notify
 //! cell kept as a known-defect specimen for the checker (E13).
+//!
+//! Wakeups are counted: `State` records how many receivers and senders are
+//! parked on each condvar, and a send or receive notifies only when that
+//! count is non-zero. With `std`'s futex condvar every `notify_one` is a
+//! `futex_wake` syscall whether or not anyone waits, so an uncontended
+//! hand-off would otherwise pay two syscalls for nothing. Disconnects and
+//! [`Receiver::drain`] still `notify_all` unconditionally.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use syscheck::shim::{Condvar, Mutex};
+use syscheck::shim::{Condvar, Mutex, MutexGuard};
 
 /// Error returned by [`Sender::send`] when every receiver is gone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,6 +157,83 @@ struct State<T> {
     items: VecDeque<T>,
     senders: usize,
     receivers: usize,
+    /// Receivers parked on `not_empty`: a send notifies only if non-zero.
+    parked_receivers: usize,
+    /// Senders parked on `not_full`: a receive notifies only if non-zero.
+    parked_senders: usize,
+}
+
+type Guard<'a, T> = MutexGuard<'a, State<T>>;
+
+/// Waits on `cv`, for at most `timeout` when one is given; returns whether
+/// the timeout fired.
+fn wait_on<'a, T>(
+    cv: &Condvar,
+    state: Guard<'a, T>,
+    timeout: Option<Duration>,
+) -> (Guard<'a, T>, bool) {
+    match timeout {
+        None => (cv.wait(state).expect("channel poisoned"), false),
+        Some(dur) => {
+            let (state, wait) = cv.wait_timeout(state, dur).expect("channel poisoned");
+            (state, wait.timed_out())
+        }
+    }
+}
+
+impl<T> Shared<T> {
+    /// Parks on `not_empty`, counted so that senders know to wake us. The
+    /// condvar releases the lock and enqueues the waiter atomically, so a
+    /// sender that sees the count under the lock always finds us queued.
+    fn park_receiver<'a>(
+        &self,
+        mut state: Guard<'a, T>,
+        timeout: Option<Duration>,
+    ) -> (Guard<'a, T>, bool) {
+        state.parked_receivers += 1;
+        let (mut state, timed_out) = wait_on(&self.not_empty, state, timeout);
+        state.parked_receivers -= 1;
+        (state, timed_out)
+    }
+
+    /// Parks on `not_full`, counted so that receivers know to wake us.
+    fn park_sender<'a>(
+        &self,
+        mut state: Guard<'a, T>,
+        timeout: Option<Duration>,
+    ) -> (Guard<'a, T>, bool) {
+        state.parked_senders += 1;
+        let (mut state, timed_out) = wait_on(&self.not_full, state, timeout);
+        state.parked_senders -= 1;
+        (state, timed_out)
+    }
+
+    /// Enqueues `value`, releases the lock, and wakes one receiver if any
+    /// is parked.
+    fn push(&self, mut state: Guard<'_, T>, value: T) {
+        state.items.push_back(value);
+        let wake = state.parked_receivers > 0;
+        drop(state);
+        if wake {
+            self.not_empty.notify_one();
+        }
+        sysobs::obs_count!("chan.sends", 1);
+    }
+
+    /// Dequeues the head, if any: on success the lock is released and one
+    /// parked sender woken; on an empty queue the guard comes back.
+    fn pop<'a>(&self, mut state: Guard<'a, T>) -> Result<T, Guard<'a, T>> {
+        let Some(v) = state.items.pop_front() else {
+            return Err(state);
+        };
+        let wake = state.parked_senders > 0;
+        drop(state);
+        if wake {
+            self.not_full.notify_one();
+        }
+        sysobs::obs_count!("chan.recvs", 1);
+        Ok(v)
+    }
 }
 
 /// Creates an unbounded channel.
@@ -176,6 +260,8 @@ fn with_capacity_inner<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
             items: VecDeque::new(),
             senders: 1,
             receivers: 1,
+            parked_receivers: 0,
+            parked_senders: 0,
         }),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
@@ -209,15 +295,12 @@ impl<T> Sender<T> {
             }
             match self.shared.capacity {
                 Some(cap) if state.items.len() >= cap => {
-                    state = self.shared.not_full.wait(state).expect("channel poisoned");
+                    state = self.shared.park_sender(state, None).0;
                 }
                 _ => break,
             }
         }
-        state.items.push_back(value);
-        drop(state);
-        self.shared.not_empty.notify_one();
-        sysobs::obs_count!("chan.sends", 1);
+        self.shared.push(state, value);
         Ok(())
     }
 
@@ -233,7 +316,7 @@ impl<T> Sender<T> {
     /// [`TrySendError::Disconnected`] when every receiver is gone; both
     /// return the message.
     pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        let mut state = self.shared.queue.lock().expect("channel poisoned");
+        let state = self.shared.queue.lock().expect("channel poisoned");
         if state.receivers == 0 {
             return Err(TrySendError::Disconnected(value));
         }
@@ -242,10 +325,7 @@ impl<T> Sender<T> {
                 return Err(TrySendError::Full(value));
             }
         }
-        state.items.push_back(value);
-        drop(state);
-        self.shared.not_empty.notify_one();
-        sysobs::obs_count!("chan.sends", 1);
+        self.shared.push(state, value);
         Ok(())
     }
 
@@ -270,20 +350,16 @@ impl<T> Sender<T> {
             match self.shared.capacity {
                 Some(cap) if state.items.len() >= cap => {
                     let Some(deadline) = deadline else {
-                        state = self.shared.not_full.wait(state).expect("channel poisoned");
+                        state = self.shared.park_sender(state, None).0;
                         continue;
                     };
                     let Some(left) = deadline.checked_duration_since(Instant::now()) else {
                         sysobs::obs_count!("chan.send_timeouts", 1);
                         return Err(SendTimeoutError::Timeout(value));
                     };
-                    let (s, wait) = self
-                        .shared
-                        .not_full
-                        .wait_timeout(state, left)
-                        .expect("channel poisoned");
+                    let (s, timed_out) = self.shared.park_sender(state, Some(left));
                     state = s;
-                    if wait.timed_out() && state.items.len() >= cap {
+                    if timed_out && state.items.len() >= cap {
                         if state.receivers == 0 {
                             return Err(SendTimeoutError::Disconnected(value));
                         }
@@ -294,10 +370,7 @@ impl<T> Sender<T> {
                 _ => break,
             }
         }
-        state.items.push_back(value);
-        drop(state);
-        self.shared.not_empty.notify_one();
-        sysobs::obs_count!("chan.sends", 1);
+        self.shared.push(state, value);
         Ok(())
     }
 
@@ -355,16 +428,14 @@ impl<T> Receiver<T> {
     pub fn recv(&self) -> Result<T, RecvError> {
         let mut state = self.shared.queue.lock().expect("channel poisoned");
         loop {
-            if let Some(v) = state.items.pop_front() {
-                drop(state);
-                self.shared.not_full.notify_one();
-                sysobs::obs_count!("chan.recvs", 1);
-                return Ok(v);
-            }
+            state = match self.shared.pop(state) {
+                Ok(v) => return Ok(v),
+                Err(s) => s,
+            };
             if state.senders == 0 {
                 return Err(RecvError);
             }
-            state = self.shared.not_empty.wait(state).expect("channel poisoned");
+            state = self.shared.park_receiver(state, None).0;
         }
     }
 
@@ -382,30 +453,24 @@ impl<T> Receiver<T> {
         let deadline = Instant::now().checked_add(timeout);
         let mut state = self.shared.queue.lock().expect("channel poisoned");
         loop {
-            if let Some(v) = state.items.pop_front() {
-                drop(state);
-                self.shared.not_full.notify_one();
-                sysobs::obs_count!("chan.recvs", 1);
-                return Ok(v);
-            }
+            state = match self.shared.pop(state) {
+                Ok(v) => return Ok(v),
+                Err(s) => s,
+            };
             if state.senders == 0 {
                 return Err(RecvTimeoutError::Disconnected);
             }
             let Some(deadline) = deadline else {
-                state = self.shared.not_empty.wait(state).expect("channel poisoned");
+                state = self.shared.park_receiver(state, None).0;
                 continue;
             };
             let Some(left) = deadline.checked_duration_since(Instant::now()) else {
                 sysobs::obs_count!("chan.recv_timeouts", 1);
                 return Err(RecvTimeoutError::Timeout);
             };
-            let (s, wait) = self
-                .shared
-                .not_empty
-                .wait_timeout(state, left)
-                .expect("channel poisoned");
+            let (s, timed_out) = self.shared.park_receiver(state, Some(left));
             state = s;
-            if wait.timed_out() && state.items.is_empty() {
+            if timed_out && state.items.is_empty() {
                 if state.senders == 0 {
                     return Err(RecvTimeoutError::Disconnected);
                 }
@@ -422,13 +487,11 @@ impl<T> Receiver<T> {
     /// [`TryRecvError::Empty`] if nothing is queued,
     /// [`TryRecvError::Disconnected`] if additionally all senders are gone.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let mut state = self.shared.queue.lock().expect("channel poisoned");
-        if let Some(v) = state.items.pop_front() {
-            drop(state);
-            self.shared.not_full.notify_one();
-            sysobs::obs_count!("chan.recvs", 1);
-            return Ok(v);
-        }
+        let state = self.shared.queue.lock().expect("channel poisoned");
+        let state = match self.shared.pop(state) {
+            Ok(v) => return Ok(v),
+            Err(s) => s,
+        };
         if state.senders == 0 {
             Err(TryRecvError::Disconnected)
         } else {
@@ -857,6 +920,90 @@ mod tests {
             assert_eq!(got, accepted, "accepted messages must all arrive");
             // Digest: how many of the two try_sends got through.
             accepted
+        });
+        assert!(ex.failure.is_none(), "{:?}", ex.failure);
+        assert!(ex.complete);
+    }
+
+    /// Wake-only-if-parked, receiver side: a receiver parked on an empty
+    /// channel is woken by `send` and by `try_send`. The sender stays alive
+    /// until the receiver is joined, so the wakeup cannot come from the
+    /// disconnect's `notify_all` instead — a send that skipped its notify
+    /// would deadlock the schedule in which the receiver parks first.
+    #[test]
+    fn checker_parked_receiver_is_woken_by_send_and_try_send() {
+        for via_try_send in [false, true] {
+            let ex = syscheck::explore(&syscheck::Config::default(), move || {
+                let (tx, rx) = bounded::<u8>(1);
+                let h = syscheck::shim::spawn(move || rx.recv().unwrap());
+                if via_try_send {
+                    tx.try_send(7).unwrap();
+                } else {
+                    tx.send(7).unwrap();
+                }
+                let got = h.join().unwrap();
+                drop(tx);
+                u64::from(got)
+            });
+            assert!(
+                ex.failure.is_none(),
+                "try_send={via_try_send}: {:?}",
+                ex.failure
+            );
+            assert!(ex.complete);
+            assert_eq!(ex.distinct_states, 1);
+        }
+    }
+
+    /// Wake-only-if-parked, sender side: a sender parked on a full bounded
+    /// channel is woken by `recv` and by `try_recv`. The receiver outlives
+    /// the sender's join, so only the receive can release it.
+    #[test]
+    fn checker_parked_sender_is_woken_by_recv_and_try_recv() {
+        for via_try_recv in [false, true] {
+            let ex = syscheck::explore(&syscheck::Config::default(), move || {
+                let (tx, rx) = bounded::<u8>(1);
+                tx.send(1).unwrap();
+                let t = {
+                    let tx = tx.clone();
+                    syscheck::shim::spawn(move || tx.send(2).unwrap())
+                };
+                // The queue holds 1 whether or not the sender has parked,
+                // so the first receive never fails in either form.
+                let first = if via_try_recv {
+                    rx.try_recv().unwrap()
+                } else {
+                    rx.recv().unwrap()
+                };
+                assert_eq!(first, 1);
+                t.join().unwrap();
+                assert_eq!(rx.try_recv(), Ok(2), "the woken send landed");
+                drop(rx);
+                0
+            });
+            assert!(
+                ex.failure.is_none(),
+                "try_recv={via_try_recv}: {:?}",
+                ex.failure
+            );
+            assert!(ex.complete);
+        }
+    }
+
+    /// The disconnect path keeps its unconditional `notify_all`: when the
+    /// last of two senders drops — on either thread, in either order — a
+    /// parked receiver wakes and sees the disconnect.
+    #[test]
+    fn checker_last_sender_drop_wakes_parked_receiver() {
+        let ex = syscheck::explore(&syscheck::Config::default(), || {
+            let (tx, rx) = channel::<u8>();
+            let rx_thread = syscheck::shim::spawn(move || rx.recv());
+            let tx2 = tx.clone();
+            let dropper = syscheck::shim::spawn(move || drop(tx2));
+            drop(tx);
+            dropper.join().unwrap();
+            assert_eq!(rx_thread.join().unwrap(), Err(RecvError));
+            0
         });
         assert!(ex.failure.is_none(), "{:?}", ex.failure);
         assert!(ex.complete);

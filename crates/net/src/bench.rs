@@ -487,17 +487,23 @@ fn churn_point(
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             // Wall-clock pacing: apply however many updates the elapsed
-            // time says are due, then yield. Every insert changes the next
-            // hop, so every one is a real publication.
+            // time says are due, then yield. Update `k` is due at `k / rate`
+            // s, so the first is due at the start of the trial and runs
+            // even when the stream is over before the thread is scheduled.
+            // Every insert changes the next hop, so every one is a real
+            // publication.
             let start = Instant::now();
             let mut applied = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                let due = (start.elapsed().as_secs_f64() * rate as f64) as u64;
+                let due = (start.elapsed().as_secs_f64() * rate as f64) as u64 + 1;
                 while applied < due {
                     let hop = PortId::try_from(applied as usize % PORTS).expect("fits");
                     let _ = updater.insert(FLAP_PREFIX, FLAP_LEN, hop);
                     applied += 1;
+                }
+                if stop.load(Ordering::Relaxed) {
+                    break;
                 }
                 std::thread::yield_now();
             }

@@ -26,10 +26,19 @@
 //!   epoch-protected snapshot per batch and pay zero synchronization per
 //!   packet. [`RouteMode::LockedGenerationClear`] keeps the baseline — a
 //!   mutex around the exclusive trie, locked per batch — for the E15 A/B.
-//! * **Non-blocking dispatch.** Batch size adapts to queue occupancy (deep
-//!   batches only under backlog) and dispatch uses `try_send` with a
-//!   bounded per-worker requeue, so one slow worker no longer
-//!   head-of-line-blocks every other worker's feed.
+//! * **Non-blocking dispatch.** Batch size follows the real backlog: the
+//!   frames still downstream of `submit` (pending, queued, being processed,
+//!   requeued), counted after absorbing every batch the workers have
+//!   already returned. A lightly loaded router therefore sends shallow
+//!   batches, and only a backlogged one fills them. Dispatch uses
+//!   `try_send` with a bounded per-worker requeue, so one slow worker does
+//!   not head-of-line-block every other worker's feed.
+//! * **Cheap hand-offs.** The channels notify only a parked peer, so a
+//!   hand-off to a running thread costs no `futex_wake` syscall. An idle
+//!   worker polls its queue a bounded number of times, yielding its CPU
+//!   after each empty poll, before it parks: on a CPU of its own it catches
+//!   the next shallow batch without a futex sleep and wake, and on a shared
+//!   CPU it gives the CPU to the dispatcher at once.
 //!
 //! Shared state is confined to per-worker atomic counters (aggregated into
 //! a router-wide [`RouterStats`] snapshot on demand) and the published
@@ -58,8 +67,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use syscheck::shim::{spawn_named, JoinHandle, Mutex as ShimMutex};
-use sysconc::channel::{bounded, channel, Receiver, Sender, TrySendError};
+use syscheck::shim::{spawn_named, yield_now, JoinHandle, Mutex as ShimMutex};
+use sysconc::channel::{bounded, channel, Receiver, Sender, TryRecvError, TrySendError};
 use sysfault::{FaultInjector, FaultPlan};
 use sysobs::LogHistogram;
 
@@ -152,6 +161,12 @@ impl Default for RouterConfig {
 /// back to a blocking send (bounding dispatcher-side memory), as a multiple
 /// of the queue depth.
 const STALL_CAP_FACTOR: usize = 2;
+
+/// Empty polls an idle worker makes, yielding its CPU after each, before
+/// it parks in a blocking `recv`. Long enough to bridge the gap between
+/// shallow batches at moderate load; short enough that an idle router
+/// soon stops burning a CPU.
+const IDLE_POLLS: usize = 64;
 
 /// One worker's batch: owned frames plus the dispatch timestamp the
 /// per-packet latency measurement starts from. The same buffers cycle
@@ -627,6 +642,20 @@ fn run_batch<const OBS: bool, R: Routes<PortId>>(
     }
 }
 
+/// The worker's next batch: polls `rx` up to [`IDLE_POLLS`] times, yielding
+/// after each empty poll, then parks in `recv`. `None` once the dispatcher
+/// has hung up and the queue is drained.
+fn next_batch(rx: &Receiver<Batch>) -> Option<Batch> {
+    for _ in 0..IDLE_POLLS {
+        match rx.try_recv() {
+            Ok(batch) => return Some(batch),
+            Err(TryRecvError::Disconnected) => return None,
+            Err(TryRecvError::Empty) => yield_now(),
+        }
+    }
+    rx.recv().ok()
+}
+
 /// One worker's receive-process loop, monomorphized on `OBS` so the
 /// `instrument: false` configuration compiles a fast path containing zero
 /// observability code — the E11 baseline — while the instrumented variant
@@ -651,7 +680,7 @@ fn worker_loop<const OBS: bool>(
     let mut cache = (cache_slots > 0).then(|| FlowCache::new(cache_slots));
     let mut latencies = LogHistogram::new();
     let t0 = Instant::now();
-    while let Ok(mut batch) = rx.recv() {
+    while let Some(mut batch) = next_batch(rx) {
         if let Some(inj) = &mut injector {
             if inj.should_fail(SITE_NET_WORKER_STALL) {
                 shared.injected_stalls.fetch_add(1, Ordering::Relaxed);
@@ -1141,10 +1170,13 @@ impl ShardedRouter {
     /// The batch size the next dispatch should aim for, from the pool's
     /// occupancy: `outstanding` counts every frame currently downstream of
     /// `submit` (pending, queued, processing, requeued), which is the
-    /// router-wide backlog. A lightly loaded router gets shallow batches so
-    /// the first packets of a burst don't wait for a full one (latency); a
-    /// backlogged one gets full batches (throughput — shallow batches under
-    /// backlog just multiply channel hand-offs).
+    /// router-wide backlog. Call it right after [`Self::drain_recycled`]:
+    /// a finished batch still waiting on a recycle channel is not backlog,
+    /// and counting it would keep batches deep on an idle router. A lightly
+    /// loaded router gets shallow batches so the first packets of a burst
+    /// don't wait for a full one (latency); a backlogged one gets full
+    /// batches (throughput — shallow batches under backlog just multiply
+    /// channel hand-offs).
     fn target_batch_size(&self) -> usize {
         #[allow(clippy::cast_possible_truncation)]
         let outstanding =
@@ -1180,6 +1212,7 @@ impl ShardedRouter {
             ctx,
         };
         self.offer(w, batch);
+        self.drain_recycled();
         self.target = self.target_batch_size();
     }
 
@@ -1476,6 +1509,54 @@ mod tests {
             pool.frames_allocated <= 4 * 8 * 32 + 64,
             "frame allocations must be bounded by in-flight capacity: {pool:?}"
         );
+    }
+
+    /// Light load must get shallow batches. After a burst has warmed the
+    /// pool to its frame budget, a trickle submits one frame at a time and
+    /// waits for it to complete. The only backlog is then the frame just
+    /// submitted, so batches stay at the `batch_size / 8` floor (here 1).
+    /// Counting finished batches parked on the recycle channel as backlog
+    /// instead drives the target toward `batch_size`, and the trickle's
+    /// frames sit in `pending` until a deep batch fills.
+    #[test]
+    fn trickle_after_warmup_dispatches_shallow_batches() {
+        // A frame not dispatched on its own would never complete; give up
+        // on it after this long and submit the next.
+        const PATIENCE: Duration = Duration::from_millis(5);
+        let cfg = RouterConfig {
+            workers: 1,
+            batch_size: 8,
+            ..RouterConfig::default()
+        };
+        let mut router = ShardedRouter::start(table(), 3, cfg);
+        let frames = stream(2048);
+        for f in &frames {
+            router.submit(f);
+        }
+        router.flush();
+        while router.snapshot().totals.total_frames() < frames.len() as u64 {
+            std::thread::yield_now();
+        }
+        let before = router.snapshot().totals;
+        let mut submitted = frames.len() as u64;
+        for f in frames.iter().take(200) {
+            router.submit(f);
+            submitted += 1;
+            let t0 = Instant::now();
+            while router.snapshot().totals.total_frames() < submitted && t0.elapsed() < PATIENCE {
+                std::thread::yield_now();
+            }
+        }
+        let after = router.snapshot().totals;
+        #[allow(clippy::cast_precision_loss)]
+        let trickle_occupancy = (after.occupancy_sum - before.occupancy_sum) as f64
+            / (after.batches - before.batches).max(1) as f64;
+        assert!(
+            trickle_occupancy < 1.5,
+            "trickle batches must stay near the floor of 1, got {trickle_occupancy:.2}"
+        );
+        let report = router.finish();
+        assert_eq!(report.stats.totals.total_frames(), submitted);
     }
 
     #[test]

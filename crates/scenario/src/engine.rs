@@ -20,7 +20,7 @@
 //! observability modes ([`run_campaign`] verifies both).
 
 use crate::spec::{Arrival, ControlEvent, Expectation, PinHold, PlaneSpec, Scenario};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
 use sysfault::{FaultInjector, FaultPlan};
 use sysnet::conntrack::{Conntrack, ConntrackConfig, EvictCause, FlowKey};
@@ -869,14 +869,24 @@ fn run_cow(s: &Scenario, pin: Option<PinHold>) -> ScenarioOutcome {
 /// returned [`ScenarioOutcome::digest`] is bit-identical across runs.
 #[must_use]
 pub fn run_scenario(s: &Scenario) -> ScenarioOutcome {
+    let _shared = TRACE_LOCK.read().unwrap_or_else(PoisonError::into_inner);
+    run_plane(s)
+}
+
+fn run_plane(s: &Scenario) -> ScenarioOutcome {
     match s.plane {
         PlaneSpec::Trie => run_trie(s),
         PlaneSpec::Cow { pin } => run_cow(s, pin),
     }
 }
 
-/// Serializes traced runs: the recorder and mode are process-global.
-static TRACE_LOCK: Mutex<()> = Mutex::new(());
+/// Keeps every other scenario run out of a traced one. The recorder, the
+/// obs mode and the metrics the triggers poll are process-global: an
+/// untraced run on another thread during a traced run would see tracing
+/// on and write into that run's recorder and counters, changing its shape
+/// digest and postmortem count. Untraced runs share the lock; a traced run
+/// holds it alone.
+static TRACE_LOCK: RwLock<()> = RwLock::new(());
 
 /// Runs a scenario under full tracing and returns `(outcome,
 /// trace_shape_digest, postmortems_fired)`. The outcome digest must equal
@@ -884,9 +894,7 @@ static TRACE_LOCK: Mutex<()> = Mutex::new(());
 /// and [`run_campaign`] checks exactly that.
 #[must_use]
 pub fn run_scenario_traced(s: &Scenario) -> (ScenarioOutcome, u64, usize) {
-    let _g = TRACE_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _exclusive = TRACE_LOCK.write().unwrap_or_else(PoisonError::into_inner);
     let prev = sysobs::mode();
     sysobs::set_mode(sysobs::Mode::Tracing);
     sysobs::recorder::unfreeze();
@@ -894,7 +902,7 @@ pub fn run_scenario_traced(s: &Scenario) -> (ScenarioOutcome, u64, usize) {
     let mut triggers = sysobs::trigger::TriggerEngine::standard();
     // Baseline the delta watches against whatever the process did before.
     let _ = triggers.poll(None);
-    let out = run_scenario(s);
+    let out = run_plane(s);
     let shape = sysobs::recorder::shape_digest();
     let postmortems = triggers.poll(Some(out.fault_digest)).len();
     sysobs::recorder::unfreeze();
